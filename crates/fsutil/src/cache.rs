@@ -68,13 +68,23 @@ impl BufferCache {
 
     /// Looks up a block, refreshing recency. Records a hit or miss.
     pub fn get(&mut self, addr: u32) -> Option<&[u8]> {
+        self.lookup(addr).map(|e| e.data.as_slice())
+    }
+
+    /// Mutable twin of [`get`](Self::get) for an in-place update: the same
+    /// recency refresh and hit-or-miss accounting, no copy. Once the block
+    /// has changed, record that with [`mark_dirty`](Self::mark_dirty).
+    pub fn get_mut(&mut self, addr: u32) -> Option<&mut [u8]> {
+        self.lookup(addr).map(|e| e.data.as_mut_slice())
+    }
+
+    fn lookup(&mut self, addr: u32) -> Option<&mut Entry> {
         self.tick += 1;
-        let tick = self.tick;
         match self.entries.get_mut(&addr) {
             Some(e) => {
-                e.last_used = tick;
+                e.last_used = self.tick;
                 self.hits += 1;
-                Some(&e.data)
+                Some(e)
             }
             None => {
                 self.misses += 1;
@@ -143,16 +153,6 @@ impl BufferCache {
         if let Some(e) = self.entries.get_mut(&addr) {
             e.dirty = true;
         }
-    }
-
-    /// Mutable access to a resident block (refreshes recency).
-    pub fn get_mut(&mut self, addr: u32) -> Option<&mut Vec<u8>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(&addr).map(|e| {
-            e.last_used = tick;
-            &mut e.data
-        })
     }
 
     /// Removes a block without write-back (e.g. freed file blocks).
@@ -273,5 +273,20 @@ mod tests {
         c.mark_dirty(1);
         let d = c.take_dirty();
         assert_eq!(d[0].data[0], 0xFF);
+    }
+
+    #[test]
+    fn get_mut_counts_and_refreshes_like_get() {
+        let mut c = BufferCache::new(2000);
+        assert!(c.get_mut(1).is_none());
+        c.insert_clean(1, vec![0u8; 1000]);
+        c.insert_clean(2, vec![0u8; 1000]);
+        // Refreshing 1 makes 2 the eviction victim.
+        c.get_mut(1).unwrap()[0] = 1;
+        c.mark_dirty(1);
+        assert_eq!(c.stats(), (1, 1));
+        assert!(c.insert_clean(3, vec![0u8; 1000]).is_empty());
+        assert!(c.contains(1) && !c.contains(2));
+        assert_eq!(c.dirty_bytes(), 1000);
     }
 }

@@ -74,15 +74,27 @@ pub fn iter_block(block: &[u8]) -> impl Iterator<Item = (usize, Dirent)> + '_ {
 
 /// Finds the slot of `name` in a directory block (allocation-free; this
 /// sits on the hot path of the 10,000-files-in-one-directory benchmark).
+///
+/// Each slot is first screened by one word compare of the name's leading
+/// `min(8, len)` bytes, which rejects almost every other name; only slots
+/// that pass get the i-node and exact byte checks.
 pub fn find_in_block(block: &[u8], name: &str) -> Option<(usize, u32)> {
     let needle = name.as_bytes();
     if needle.is_empty() || needle.len() > MAX_NAME {
         return None;
     }
+    let head_len = needle.len().min(8);
+    let mut head = [0u8; 8];
+    head[..head_len].copy_from_slice(&needle[..head_len]);
+    let head = u64::from_le_bytes(head);
+    let mask = u64::MAX >> (8 * (8 - head_len));
     block
         .chunks_exact(DIRENT_SIZE)
         .enumerate()
         .find_map(|(i, slot)| {
+            if wire::le_u64(slot, 4) & mask != head {
+                return None;
+            }
             let ino = wire::le_u32(slot, 0);
             if ino == 0 {
                 return None;

@@ -228,11 +228,11 @@ impl<D: BlockDev> Lld<D> {
             .filter_map(|(bid, e)| (e.seg == victim).then_some(bid))
             .collect();
 
-        let mut mentioned_bids: HashSet<u64> = HashSet::new();
-        let mut mentioned_lids: HashSet<u64> = HashSet::new();
-        let mut swap_bids: HashSet<u64> = HashSet::new();
-        let mut mentioned_sectors: HashSet<u64> = HashSet::new();
-        let mut mentioned_quarantines: HashSet<u32> = HashSet::new();
+        let mut mentioned_bids: BTreeSet<u64> = BTreeSet::new();
+        let mut mentioned_lids: BTreeSet<u64> = BTreeSet::new();
+        let mut swap_bids: BTreeSet<u64> = BTreeSet::new();
+        let mut mentioned_sectors: BTreeSet<u64> = BTreeSet::new();
+        let mut mentioned_quarantines: BTreeSet<u32> = BTreeSet::new();
         let summary = {
             let mut buf = vec![0u8; self.layout.summary_bytes];
             let readable = match &prefetch {

@@ -274,18 +274,63 @@ impl<S: BlockStore> MinixFs<S> {
         Ok(())
     }
 
-    /// Loads a block of allocated size `len` through the cache.
-    fn load(&mut self, addr: Addr, len: usize) -> Result<Vec<u8>> {
-        if let Some(d) = self.cache.get(addr) {
-            return Ok(d.to_vec());
+    // Every block access makes exactly one cache lookup (`get` or
+    // `get_mut`), so hits, misses, recency and therefore eviction and
+    // write-back order depend only on which blocks the file system touches,
+    // never on whether it reads or updates them.
+
+    /// Runs `f` on block `addr` (allocated size `len`), read through the
+    /// cache. A hit lends `f` the cached block; a miss reads it from the
+    /// store and caches it clean.
+    fn with_block<R>(&mut self, addr: Addr, len: usize, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        if let Some(block) = self.cache.get(addr) {
+            return Ok(f(block));
         }
+        let buf = self.read_uncached(addr, len)?;
+        let r = f(&buf);
+        self.fill(addr, buf)?;
+        Ok(r)
+    }
+
+    /// Runs `f` on block `addr` for an in-place update. `f` returns `None`
+    /// when it left the block unchanged; otherwise the block is now dirty
+    /// (written back on eviction or sync).
+    fn update_block<R>(
+        &mut self,
+        addr: Addr,
+        len: usize,
+        f: impl FnOnce(&mut [u8]) -> Option<R>,
+    ) -> Result<Option<R>> {
+        if let Some(block) = self.cache.get_mut(addr) {
+            let r = f(block);
+            if r.is_some() {
+                self.cache.mark_dirty(addr);
+            }
+            return Ok(r);
+        }
+        let mut buf = self.read_uncached(addr, len)?;
+        let r = f(&mut buf);
+        if r.is_some() {
+            self.save(addr, buf)?;
+        } else {
+            self.fill(addr, buf)?;
+        }
+        Ok(r)
+    }
+
+    /// Reads a block that missed the cache from the store.
+    fn read_uncached(&mut self, addr: Addr, len: usize) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; len];
         // Never-written blocks legitimately read back short (LD) — the
         // zero padding stands in for them.
         let _ = self.store.read_block(addr, &mut buf)?;
-        let evicted = self.cache.insert_clean(addr, buf.clone());
-        self.write_evicted(evicted)?;
         Ok(buf)
+    }
+
+    /// Caches a block image as read from the store (clean).
+    fn fill(&mut self, addr: Addr, data: Vec<u8>) -> Result<()> {
+        let evicted = self.cache.insert_clean(addr, data);
+        self.write_evicted(evicted)
     }
 
     /// Stores a block image through the cache (write-back).
@@ -317,9 +362,8 @@ impl<S: BlockStore> MinixFs<S> {
             InodeMode::SmallBlocks => {
                 let ppc = bs / 4;
                 let container = self.sb.inode_containers[idx / ppc];
-                let index_block = self.load(container, bs)?;
                 let off = (idx % ppc) * 4;
-                let addr = wire::le_u32(&index_block, off);
+                let addr = self.with_block(container, bs, |b| wire::le_u32(b, off))?;
                 if addr == 0 {
                     return Err(FsError::NotFound);
                 }
@@ -331,15 +375,17 @@ impl<S: BlockStore> MinixFs<S> {
     /// Reads an i-node.
     pub fn read_inode(&mut self, ino: Ino) -> Result<Inode> {
         let (addr, off, len) = self.inode_slot(ino)?;
-        let block = self.load(addr, len)?;
-        Inode::decode(&block[off..off + INODE_SIZE]).ok_or(FsError::NotFound)
+        self.with_block(addr, len, |b| Inode::decode(&b[off..off + INODE_SIZE]))?
+            .ok_or(FsError::NotFound)
     }
 
     fn write_inode(&mut self, ino: Ino, inode: &Inode) -> Result<()> {
         let (addr, off, len) = self.inode_slot(ino)?;
-        let mut block = self.load(addr, len)?;
-        inode.encode(&mut block[off..off + INODE_SIZE]);
-        self.save(addr, block)
+        self.update_block(addr, len, |b| {
+            inode.encode(&mut b[off..off + INODE_SIZE]);
+            Some(())
+        })?;
+        Ok(())
     }
 
     fn alloc_inode(&mut self, ftype: FileType, group: u32) -> Result<Ino> {
@@ -357,10 +403,11 @@ impl<S: BlockStore> MinixFs<S> {
             let ppc = bs / 4;
             let idx = slot;
             let container = self.sb.inode_containers[idx / ppc];
-            let mut index_block = self.load(container, bs)?;
             let off = (idx % ppc) * 4;
-            index_block[off..off + 4].copy_from_slice(&addr.to_le_bytes());
-            self.save(container, index_block)?;
+            self.update_block(container, bs, |b| {
+                b[off..off + 4].copy_from_slice(&addr.to_le_bytes());
+                Some(())
+            })?;
         }
         let inode = Inode::new(ftype, group, self.mtime_now());
         self.write_inode(ino, &inode)?;
@@ -384,16 +431,18 @@ impl<S: BlockStore> MinixFs<S> {
             let ppc = bs / 4;
             let idx = (ino - 1) as usize;
             let container = self.sb.inode_containers[idx / ppc];
-            let mut index_block = self.load(container, bs)?;
             let off = (idx % ppc) * 4;
-            index_block[off..off + 4].fill(0);
-            self.save(container, index_block)?;
+            self.update_block(container, bs, |b| {
+                b[off..off + 4].fill(0);
+                Some(())
+            })?;
         } else {
             // Zero the slot: an all-zero type marks a free i-node.
             let (addr, off, len) = self.inode_slot(ino)?;
-            let mut block = self.load(addr, len)?;
-            block[off..off + INODE_SIZE].fill(0);
-            self.save(addr, block)?;
+            self.update_block(addr, len, |b| {
+                b[off..off + INODE_SIZE].fill(0);
+                Some(())
+            })?;
         }
         self.ibitmap.clear((ino - 1) as usize);
         self.ibitmap_dirty = true;
@@ -412,19 +461,16 @@ impl<S: BlockStore> MinixFs<S> {
                 let Some(ind) = nonzero(inode.zones[IND]) else {
                     return Ok(None);
                 };
-                let block = self.load(ind, bs)?;
-                Ok(nonzero(read_u32(&block, i)))
+                Ok(nonzero(self.with_block(ind, bs, |b| read_u32(b, i))?))
             }
             ZonePath::Double(i, j) => {
                 let Some(dind) = nonzero(inode.zones[DIND]) else {
                     return Ok(None);
                 };
-                let block = self.load(dind, bs)?;
-                let Some(ind) = nonzero(read_u32(&block, i)) else {
+                let Some(ind) = nonzero(self.with_block(dind, bs, |b| read_u32(b, i))?) else {
                     return Ok(None);
                 };
-                let block = self.load(ind, bs)?;
-                Ok(nonzero(read_u32(&block, j)))
+                Ok(nonzero(self.with_block(ind, bs, |b| read_u32(b, j))?))
             }
         }
     }
@@ -472,15 +518,15 @@ impl<S: BlockStore> MinixFs<S> {
                         a
                     }
                 };
-                let block = self.load(dind, bs)?;
-                let ind = match nonzero(read_u32(&block, i)) {
+                let ind = match nonzero(self.with_block(dind, bs, |b| read_u32(b, i))?) {
                     Some(a) => a,
                     None => {
                         let a = self.store.alloc_block(&hint)?;
                         self.save(a, vec![0u8; bs])?;
-                        let mut block = self.load(dind, bs)?;
-                        write_u32(&mut block, i, a);
-                        self.save(dind, block)?;
+                        self.update_block(dind, bs, |b| {
+                            write_u32(b, i, a);
+                            Some(())
+                        })?;
                         a
                     }
                 };
@@ -492,14 +538,14 @@ impl<S: BlockStore> MinixFs<S> {
     /// Allocates (if needed) entry `i` of indirect block `table`.
     fn alloc_in_table(&mut self, table: Addr, i: usize, hint: &AllocHint) -> Result<Addr> {
         let bs = self.store.block_size();
-        let block = self.load(table, bs)?;
-        if let Some(a) = nonzero(read_u32(&block, i)) {
+        if let Some(a) = nonzero(self.with_block(table, bs, |b| read_u32(b, i))?) {
             return Ok(a);
         }
         let a = self.store.alloc_block(hint)?;
-        let mut block = self.load(table, bs)?;
-        write_u32(&mut block, i, a);
-        self.save(table, block)?;
+        self.update_block(table, bs, |b| {
+            write_u32(b, i, a);
+            Some(())
+        })?;
         Ok(a)
     }
 
@@ -535,10 +581,8 @@ impl<S: BlockStore> MinixFs<S> {
                     if seen_sub != Some(i) {
                         seen_sub = Some(i);
                         if let Some(dind) = nonzero(inode.zones[DIND]) {
-                            let block = self.load(dind, bs)?;
-                            if let Some(a) = nonzero(read_u32(&block, i)) {
-                                out.push(a);
-                            }
+                            let ind = self.with_block(dind, bs, |b| read_u32(b, i))?;
+                            out.extend(nonzero(ind));
                         }
                     }
                 }
@@ -593,8 +637,7 @@ impl<S: BlockStore> MinixFs<S> {
             let Some(a) = self.zone_at(dir, idx)? else {
                 continue;
             };
-            let block = self.load(a, bs)?;
-            if let Some((_, ino)) = dirent::find_in_block(&block, name) {
+            if let Some((_, ino)) = self.with_block(a, bs, |b| dirent::find_in_block(b, name))? {
                 return Ok(Some(ino));
             }
         }
@@ -609,15 +652,16 @@ impl<S: BlockStore> MinixFs<S> {
             let Some(a) = self.zone_at(dir, idx)? else {
                 continue;
             };
-            let block = self.load(a, bs)?;
-            if let Some(slot) = dirent::free_slot(&block) {
-                let mut block = block;
+            let added = self.update_block(a, bs, |b| {
+                let slot = dirent::free_slot(b)?;
                 dirent::encode(
                     ino,
                     name,
-                    &mut block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE],
+                    &mut b[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE],
                 );
-                self.save(a, block)?;
+                Some(())
+            })?;
+            if added.is_some() {
                 dir.mtime = self.mtime_now();
                 self.write_inode(dir_ino, dir)?;
                 return Ok(());
@@ -642,11 +686,12 @@ impl<S: BlockStore> MinixFs<S> {
             let Some(a) = self.zone_at(dir, idx)? else {
                 continue;
             };
-            let block = self.load(a, bs)?;
-            if let Some((slot, ino)) = dirent::find_in_block(&block, name) {
-                let mut block = block;
-                dirent::clear(&mut block[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE]);
-                self.save(a, block)?;
+            let removed = self.update_block(a, bs, |b| {
+                let (slot, ino) = dirent::find_in_block(b, name)?;
+                dirent::clear(&mut b[slot * DIRENT_SIZE..(slot + 1) * DIRENT_SIZE]);
+                Some(ino)
+            })?;
+            if let Some(ino) = removed {
                 dir.mtime = self.mtime_now();
                 self.write_inode(dir_ino, dir)?;
                 return Ok(ino);
@@ -775,9 +820,10 @@ impl<S: BlockStore> MinixFs<S> {
             if inner == 0 && n == bs as usize {
                 self.save(a, rest[..n].to_vec())?;
             } else {
-                let mut block = self.load(a, bs as usize)?;
-                block[inner..inner + n].copy_from_slice(&rest[..n]);
-                self.save(a, block)?;
+                self.update_block(a, bs as usize, |b| {
+                    b[inner..inner + n].copy_from_slice(&rest[..n]);
+                    Some(())
+                })?;
             }
             pos += n as u64;
             rest = &rest[n..];
@@ -818,8 +864,10 @@ impl<S: BlockStore> MinixFs<S> {
             let n = (want - done).min(bs as usize - inner);
             match self.zone_at(&inode, idx)? {
                 Some(a) => {
-                    let block = self.load(a, bs as usize)?;
-                    buf[done..done + n].copy_from_slice(&block[inner..inner + n]);
+                    let out = &mut buf[done..done + n];
+                    self.with_block(a, bs as usize, |b| {
+                        out.copy_from_slice(&b[inner..inner + n])
+                    })?;
                 }
                 None => buf[done..done + n].fill(0),
             }
@@ -844,8 +892,7 @@ impl<S: BlockStore> MinixFs<S> {
             if !prefetch.is_empty() {
                 let blocks = self.store.read_blocks(&prefetch)?;
                 for (a, data) in prefetch.iter().zip(blocks) {
-                    let evicted = self.cache.insert_clean(*a, data);
-                    self.write_evicted(evicted)?;
+                    self.fill(*a, data)?;
                     self.stats.readahead_blocks += 1;
                 }
             }
@@ -1001,8 +1048,7 @@ impl<S: BlockStore> MinixFs<S> {
             let Some(a) = self.zone_at(&inode, idx)? else {
                 continue;
             };
-            let block = self.load(a, bs)?;
-            out.extend(dirent::iter_block(&block).map(|(_, d)| d));
+            self.with_block(a, bs, |b| out.extend(dirent::iter_block(b).map(|(_, d)| d)))?;
         }
         Ok(out)
     }

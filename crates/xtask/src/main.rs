@@ -373,7 +373,7 @@ fn find_simdisk_refs(code: &str) -> Vec<String> {
 // ci
 // ---------------------------------------------------------------------------
 
-/// The full local CI pipeline, mirroring `.github/workflows/ci.yml`.
+/// The full CI pipeline; `.github/workflows/ci.yml` runs exactly this.
 fn ci() -> ExitCode {
     let steps: &[(&str, &[&str])] = &[
         ("build", &["build", "--release"]),
