@@ -20,25 +20,25 @@ impl Bitmap {
         }
     }
 
-    /// Rebuilds a bitmap from serialized bytes (must cover `len` bits).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is too short for `len` bits.
-    pub fn from_bytes(bytes: &[u8], len: usize) -> Self {
-        assert!(bytes.len() >= len.div_ceil(8), "bitmap bytes too short");
-        let bits = bytes[..len.div_ceil(8)].to_vec();
-        let mut allocated = 0;
-        for i in 0..len {
-            if bits[i / 8] & (1 << (i % 8)) != 0 {
-                allocated += 1;
-            }
-        }
-        Self {
+    /// Rebuilds a bitmap from serialized bytes, or `None` if `bytes` is
+    /// too short for `len` bits. Bits past `len` in the last byte are kept
+    /// as they are but never count as slots.
+    pub fn from_bytes(bytes: &[u8], len: usize) -> Option<Self> {
+        let bits = bytes.get(..len.div_ceil(8))?.to_vec();
+        let full: usize = bits[..len / 8]
+            .iter()
+            .map(|b| b.count_ones() as usize)
+            .sum();
+        // The last byte's slots, if it is partial, without its pad bits.
+        let tail = bits
+            .get(len / 8)
+            .map_or(0, |b| b & ((1u8 << (len % 8)) - 1));
+        let allocated = full + tail.count_ones() as usize;
+        Some(Self {
             bits,
             len,
             allocated,
-        }
+        })
     }
 
     /// Serialized form (little-endian bit order within bytes).
@@ -79,18 +79,40 @@ impl Bitmap {
         if self.allocated == self.len {
             return None;
         }
-        let start = if self.len == 0 { 0 } else { hint % self.len };
-        let mut i = start;
-        loop {
-            if !self.get(i) {
-                self.set(i);
-                return Some(i);
+        let start = hint % self.len;
+        let slot = self
+            .find_free(start, self.len)
+            .or_else(|| self.find_free(0, start))?;
+        self.set(slot);
+        Some(slot)
+    }
+
+    /// The first free slot in `[from, to)`, where `to <= len`. Searches a
+    /// 64-slot word at a time: a full word is skipped on one compare, and
+    /// the first clear bit of any other is its count of trailing ones. The
+    /// result is the slot a bit-by-bit scan from `from` would stop at.
+    fn find_free(&self, from: usize, to: usize) -> Option<usize> {
+        if from >= to {
+            return None;
+        }
+        let first = from / 64;
+        let words = self.bits[first * 8..to.div_ceil(8)].chunks(8);
+        for (k, chunk) in words.enumerate() {
+            // Bytes past the end of the range read as free; the `to` check
+            // below rejects them like any other slot at or past `to`.
+            let mut buf = [0u8; 8];
+            buf[..chunk.len()].copy_from_slice(chunk);
+            let mut word = u64::from_le_bytes(buf);
+            if k == 0 {
+                // Slots below `from` count as taken.
+                word |= (1u64 << (from % 64)) - 1;
             }
-            i = (i + 1) % self.len;
-            if i == start {
-                return None;
+            if word != u64::MAX {
+                let slot = (first + k) * 64 + word.trailing_ones() as usize;
+                return (slot < to).then_some(slot);
             }
         }
+        None
     }
 
     /// Allocates the first free slot from the beginning.
@@ -154,7 +176,7 @@ mod tests {
         for i in [0usize, 7, 8, 63, 64, 99] {
             b.set(i);
         }
-        let restored = Bitmap::from_bytes(b.as_bytes(), 100);
+        let restored = Bitmap::from_bytes(b.as_bytes(), 100).unwrap();
         assert_eq!(restored, b);
         assert_eq!(restored.allocated(), 6);
         assert!(restored.get(63) && !restored.get(62));

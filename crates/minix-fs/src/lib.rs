@@ -109,10 +109,7 @@ impl<S: BlockStore> MinixFs<S> {
             bitmap_blocks.push(a);
         }
         // I-node containers.
-        let ncontainers = match config.inode_mode {
-            InodeMode::Packed => (ninodes as usize).div_ceil(bs / INODE_SIZE),
-            InodeMode::SmallBlocks => (ninodes as usize).div_ceil(bs / 4),
-        };
+        let ncontainers = (ninodes as usize).div_ceil(inodes_per_container(config.inode_mode, bs));
         let mut inode_containers = Vec::with_capacity(ncontainers);
         for _ in 0..ncontainers {
             let a = store.alloc_block(&AllocHint::after(prev))?;
@@ -163,6 +160,13 @@ impl<S: BlockStore> MinixFs<S> {
         config.ninodes = sb.ninodes;
         config.list_mode = sb.list_mode;
         config.inode_mode = sb.inode_mode;
+        // Every i-node number up to `ninodes` needs a container slot, or
+        // `stat` of a high number would index past the container list. (A
+        // bitmap too small for `ninodes` fails `from_bytes` below.)
+        let ninodes = sb.ninodes as usize;
+        if sb.inode_containers.len() * inodes_per_container(sb.inode_mode, bs) < ninodes {
+            return Err(FsError::BadSuperblock);
+        }
         // Reload the i-node bitmap.
         let mut bytes = Vec::with_capacity(sb.bitmap_blocks.len() * bs);
         for a in &sb.bitmap_blocks {
@@ -170,7 +174,7 @@ impl<S: BlockStore> MinixFs<S> {
             store.read_block(*a, &mut block)?;
             bytes.extend_from_slice(&block);
         }
-        let ibitmap = Bitmap::from_bytes(&bytes, sb.ninodes as usize);
+        let ibitmap = Bitmap::from_bytes(&bytes, ninodes).ok_or(FsError::BadSuperblock)?;
         Ok(Self {
             cache: BufferCache::new(config.cache_bytes),
             ibitmap,
@@ -1105,6 +1109,15 @@ impl<S: BlockStore> MinixFs<S> {
         debug_assert!(leftover.is_empty(), "sync left dirty blocks behind");
         self.last_read = None;
         Ok(())
+    }
+}
+
+/// I-nodes per container block: packed i-nodes, or 4-byte index entries
+/// pointing at small i-node blocks.
+fn inodes_per_container(mode: InodeMode, block_size: usize) -> usize {
+    match mode {
+        InodeMode::Packed => block_size / INODE_SIZE,
+        InodeMode::SmallBlocks => block_size / 4,
     }
 }
 

@@ -70,7 +70,7 @@ impl<D: BlockDev> RawStore<D> {
         let mut bytes = vec![0u8; (bitmap_blocks as usize) * BLOCK_SIZE];
         disk.read_sectors(SECTORS_PER_BLOCK, &mut bytes)
             .map_err(|e| FsError::Store(e.to_string()))?;
-        let bitmap = Bitmap::from_bytes(&bytes, blocks as usize);
+        let bitmap = Bitmap::from_bytes(&bytes, blocks as usize).ok_or(FsError::BadSuperblock)?;
         if !(0..first_data).all(|b| bitmap.get(b as usize)) {
             return Err(FsError::BadSuperblock);
         }

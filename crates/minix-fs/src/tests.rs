@@ -22,6 +22,19 @@ fn ld_fs() -> MinixFs<LdStore<MemDisk>> {
     MinixFs::format(store, FsConfig::small_for_tests()).unwrap()
 }
 
+fn ld_small_fs() -> MinixFs<LdStore<MemDisk>> {
+    let store = LdStore::format(
+        MemDisk::with_capacity(16 << 20),
+        lld::LldConfig::small_for_tests(),
+    )
+    .unwrap();
+    let config = FsConfig {
+        inode_mode: InodeMode::SmallBlocks,
+        ..FsConfig::small_for_tests()
+    };
+    MinixFs::format(store, config).unwrap()
+}
+
 fn pattern(len: usize, seed: u8) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(13) ^ seed)
@@ -346,16 +359,7 @@ fn single_list_mode_uses_shared_group() {
 
 #[test]
 fn small_inode_blocks_on_ld() {
-    let store = LdStore::format(
-        MemDisk::with_capacity(16 << 20),
-        lld::LldConfig::small_for_tests(),
-    )
-    .unwrap();
-    let config = FsConfig {
-        inode_mode: InodeMode::SmallBlocks,
-        ..FsConfig::small_for_tests()
-    };
-    let mut fs = MinixFs::format(store, config).unwrap();
+    let mut fs = ld_small_fs();
     let ino = fs.create("/x").unwrap();
     fs.write(ino, 0, &pattern(5000, 8)).unwrap();
     fs.sync().unwrap();
@@ -513,4 +517,43 @@ fn rename_moves_files_and_directories() {
         // A directory cannot be moved into itself.
         assert!(fs.rename("/b", "/b/sub/loop").is_err());
     });
+}
+
+/// Rewrites the superblock's i-node count on a synced file system and
+/// mounts the result.
+fn mount_with_ninodes<S: BlockStore>(
+    mut fs: MinixFs<S>,
+    ninodes: &impl Fn(&crate::SuperBlock, usize) -> u32,
+) -> crate::Result<MinixFs<S>> {
+    fs.sync().unwrap();
+    let mut store = fs.into_store();
+    let (addr, bs) = (store.superblock_addr(), store.block_size());
+    let mut buf = vec![0u8; bs];
+    store.read_block(addr, &mut buf).unwrap();
+    let mut sb = crate::SuperBlock::decode(&buf).unwrap();
+    sb.ninodes = ninodes(&sb, bs);
+    store.write_block(addr, &sb.encode(bs)).unwrap();
+    store.sync().unwrap();
+    MinixFs::mount(store, FsConfig::small_for_tests())
+}
+
+/// Mounting must fail cleanly over both stores and both i-node layouts.
+fn assert_mount_rejects(ninodes: impl Fn(&crate::SuperBlock, usize) -> u32) {
+    let bad = Some(FsError::BadSuperblock);
+    assert_eq!(mount_with_ninodes(raw_fs(), &ninodes).err(), bad);
+    assert_eq!(mount_with_ninodes(ld_fs(), &ninodes).err(), bad);
+    assert_eq!(mount_with_ninodes(ld_small_fs(), &ninodes).err(), bad);
+}
+
+#[test]
+fn mount_rejects_ninodes_beyond_the_bitmap() {
+    // More i-nodes than the bitmap blocks hold bits for.
+    assert_mount_rejects(|_, _| u32::MAX);
+}
+
+#[test]
+fn mount_rejects_ninodes_beyond_the_inode_containers() {
+    // Exactly the bitmap's capacity: the bitmap covers it, the i-node
+    // containers do not.
+    assert_mount_rejects(|sb, bs| (sb.bitmap_blocks.len() * bs * 8) as u32);
 }

@@ -3,6 +3,7 @@
 //! ```text
 //! cargo run -p xtask -- lint    # invariant lints over the workspace source
 //! cargo run -p xtask -- ci      # build + test + clippy + lint + ldck smoke
+//!                               # + exact BENCH_*.json gate
 //! ```
 //!
 //! The `lint` subcommand enforces three workspace invariants that rustc and
@@ -40,7 +41,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 /// Crates whose library code must be panic-free.
 const PANIC_FREE_CRATES: &[&str] = &[
@@ -434,8 +435,66 @@ fn ci() -> ExitCode {
             }
         }
     }
+    if !bench_gate() {
+        return ExitCode::FAILURE;
+    }
     println!("xtask ci: all steps passed");
     ExitCode::SUCCESS
+}
+
+/// Experiments whose committed result file a release `repro` run must
+/// reproduce byte for byte.
+const BENCH_FILES: &[(&str, &str)] = &[
+    ("table4", "BENCH_table4.json"),
+    ("table5", "BENCH_table5.json"),
+    ("queueing", "BENCH_e17.json"),
+];
+
+/// Reruns each experiment in [`BENCH_FILES`] with `repro --json-out` and
+/// fails on any byte difference from the committed file. Simulated results
+/// are deterministic, so any drift is a behaviour change.
+fn bench_gate() -> bool {
+    let root = repo_root();
+    let out_dir = root.join("target").join("bench-gate");
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        eprintln!("xtask ci: cannot create {}: {e}", out_dir.display());
+        return false;
+    }
+    for (exp, file) in BENCH_FILES {
+        let fresh = out_dir.join(file);
+        println!("xtask ci: BENCH gate ({exp} vs {file})");
+        let status = Command::new("cargo")
+            .args(["run", "-q", "--release", "-p", "ld-bench", "--bin", "repro", "--"])
+            .arg("--json-out")
+            .arg(&fresh)
+            .arg(exp)
+            .current_dir(&root)
+            .stdout(Stdio::null())
+            .status();
+        if !matches!(status, Ok(s) if s.success()) {
+            eprintln!("xtask ci: `repro {exp}` failed ({status:?})");
+            return false;
+        }
+        let want = std::fs::read_to_string(root.join(file));
+        let got = std::fs::read_to_string(&fresh);
+        match (want, got) {
+            (Ok(want), Ok(got)) if want == got => {}
+            (Ok(want), Ok(got)) => {
+                let same = want.lines().zip(got.lines()).take_while(|(a, b)| a == b);
+                eprintln!(
+                    "xtask ci: {} differs from the committed {file} from line {}",
+                    fresh.display(),
+                    same.count() + 1
+                );
+                return false;
+            }
+            (Err(e), _) | (_, Err(e)) => {
+                eprintln!("xtask ci: cannot read {file} or its rerun: {e}");
+                return false;
+            }
+        }
+    }
+    true
 }
 
 #[cfg(test)]
